@@ -47,6 +47,17 @@ wait "$RESIL_PID" 2>/dev/null || true
 cmp "$RESIL_TMP/ref.report" "$RESIL_TMP/kill.report"
 echo "resumed report is byte-identical to the uninterrupted run"
 
+echo "== Figure 4 alone vs inside report all (cell reuse) =="
+# `report all` runs Figure 4 and then Figure 5 on one trace store, and
+# Figure 5 reuses Figure 4's cells. The Figure 4 section of the full
+# report must be byte-identical to Figure 4 run on its own.
+target/release/report --class T fig4 > "$RESIL_TMP/fig4.alone" 2>/dev/null
+target/release/report --class T all 2>/dev/null \
+    | awk '/^Figure 4\. /{on=1} /^Figure 5\. /{on=0} on' > "$RESIL_TMP/fig4.all"
+[ -s "$RESIL_TMP/fig4.all" ] || { echo "report all printed no Figure 4 section"; exit 1; }
+cmp "$RESIL_TMP/fig4.alone" "$RESIL_TMP/fig4.all"
+echo "Figure 4 inside report all is byte-identical to Figure 4 alone"
+
 echo "== serve daemon smoke (miss → hit, SIGTERM drain) =="
 SERVE_TMP=$(mktemp -d)
 SERVE_PID=""

@@ -4,21 +4,10 @@
 //! Paper-scale regeneration: `cargo run --release --bin report -- --class S fig4`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use paxsim_core::multi::{paper_workloads, run_workload};
+use paxsim_core::multi::{paper_workloads, simulate_workload};
 use paxsim_core::prelude::*;
-use paxsim_nas::{Class, KernelId};
+use paxsim_nas::Class;
 use paxsim_omp::schedule::Schedule;
-
-fn serial_cycles(opts: &StudyOptions, store: &TraceStore, k: KernelId) -> f64 {
-    use paxsim_machine::sim::{simulate, JobSpec};
-    let t = store.get(TraceKey {
-        kernel: k,
-        class: opts.class,
-        nthreads: 1,
-        schedule: Schedule::Static,
-    });
-    simulate(&opts.machine, vec![JobSpec::pinned(t, serial().contexts)]).jobs[0].cycles as f64
-}
 
 fn bench(c: &mut Criterion) {
     let opts = StudyOptions::quick();
@@ -28,10 +17,6 @@ fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig4");
     g.sample_size(10);
     for workload in paper_workloads() {
-        let bases = (
-            serial_cycles(&opts, &store, workload.0),
-            serial_cycles(&opts, &store, workload.1),
-        );
         for cfg_name in ["HT off -4-2", "HT on -8-2"] {
             let cfg = config_by_name(cfg_name).unwrap();
             // Pre-build the per-side traces.
@@ -50,7 +35,9 @@ fn bench(c: &mut Criterion) {
                     workload.1,
                     cfg.name.replace(' ', "_")
                 ),
-                |b| b.iter(|| run_workload(&opts, &store, workload, &cfg, bases)),
+                // Simulated every iteration: `run_workload` would reuse
+                // the store's first result.
+                |b| b.iter(|| simulate_workload(&opts, &store, workload, &cfg)),
             );
         }
     }

@@ -2,8 +2,11 @@
 //! simulator and compare against the numbers the paper measured on the
 //! real PowerEdge 2850.
 
-use paxsim_lmbench::{platform_numbers, PlatformNumbers};
+use paxsim_lmbench::{probe, PlatformNumbers, PROBES};
 use paxsim_machine::config::MachineConfig;
+
+use crate::pool;
+use crate::tune::nan_last_cmp;
 
 /// The paper's measured values (Section 3; see DESIGN.md §5 for the
 /// reconstruction of OCR-damaged digits).
@@ -56,17 +59,22 @@ impl CalibrationReport {
         self.rows.iter().all(|r| r.rel_err() <= tol)
     }
 
+    /// The row with the largest relative error. A NaN error (a probe that
+    /// measured nothing) ranks last, so it is reported only when no row
+    /// has a real error.
     pub fn worst(&self) -> &CalibrationRow {
         self.rows
             .iter()
-            .max_by(|a, b| a.rel_err().partial_cmp(&b.rel_err()).unwrap())
+            .max_by(|a, b| nan_last_cmp(a.rel_err(), b.rel_err()))
             .expect("non-empty report")
     }
 }
 
-/// Run all Section 3 probes and compare against the paper.
+/// Run all Section 3 probes, in parallel on the pool, and compare against
+/// the paper.
 pub fn calibrate(cfg: &MachineConfig) -> CalibrationReport {
-    let m = platform_numbers(cfg);
+    let probes = pool::map_indexed(PROBES, |i| probe(cfg, i));
+    let m = PlatformNumbers::from_probes(probes.try_into().expect("one result per probe"));
     let p = PAPER_PLATFORM;
     let rows = vec![
         CalibrationRow {
@@ -139,6 +147,42 @@ mod tests {
             !report.within(0.15),
             "tripled memory latency must be caught"
         );
+    }
+
+    #[test]
+    fn worst_ranks_nan_row_last() {
+        let mut report = calibrate(&MachineConfig::paxville_smp());
+        let real_worst = report.worst().name;
+        report.rows[0].measured = f64::NAN;
+        assert!(report.rows[0].rel_err().is_nan());
+        let worst = report.worst();
+        assert!(
+            worst.rel_err().is_finite(),
+            "NaN row must not win: {worst:?}"
+        );
+        let expected = if real_worst == report.rows[0].name {
+            // The NaN replaced the old worst: the runner-up takes over.
+            report.rows[1..]
+                .iter()
+                .max_by(|a, b| a.rel_err().total_cmp(&b.rel_err()))
+                .unwrap()
+                .name
+        } else {
+            real_worst
+        };
+        assert_eq!(worst.name, expected);
+        for row in &mut report.rows {
+            row.measured = f64::NAN;
+        }
+        assert!(report.worst().rel_err().is_nan(), "all-NaN still answers");
+    }
+
+    #[test]
+    fn parallel_probes_match_sequential_platform_numbers() {
+        let cfg = MachineConfig::paxville_smp();
+        let seq = paxsim_lmbench::platform_numbers(&cfg);
+        let par = calibrate(&cfg).measured;
+        assert_eq!(format!("{seq:?}"), format!("{par:?}"));
     }
 
     #[test]

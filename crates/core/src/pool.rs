@@ -376,6 +376,7 @@ mod tests {
 
     #[test]
     fn isolated_completes_around_persistent_failure() {
+        let _q = crate::faultinject::quiesced();
         let sweep = map_indexed_isolated(16, &CellPolicy::default(), |i| {
             if i == 5 {
                 panic!("persistent failure");
@@ -401,6 +402,7 @@ mod tests {
 
     #[test]
     fn isolated_retry_recovers_transient_failure() {
+        let _q = crate::faultinject::quiesced();
         let tries = AtomicUsize::new(0);
         let sweep = map_indexed_isolated(8, &CellPolicy::default(), |i| {
             if i == 2 && tries.fetch_add(1, Ordering::SeqCst) == 0 {
@@ -415,6 +417,7 @@ mod tests {
 
     #[test]
     fn isolated_watchdog_flags_slow_cells() {
+        let _q = crate::faultinject::quiesced();
         let policy = CellPolicy {
             deadline: Some(Duration::from_millis(20)),
             ..CellPolicy::default()
@@ -436,6 +439,7 @@ mod tests {
 
     #[test]
     fn isolated_typed_errors_are_not_retried() {
+        let _q = crate::faultinject::quiesced();
         let tries = AtomicUsize::new(0);
         let sweep = map_indexed_isolated(4, &CellPolicy::default(), |i| {
             if i == 0 {

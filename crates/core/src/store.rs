@@ -12,18 +12,29 @@
 //! is exhausted does every current and future caller of [`TraceStore::try_get`]
 //! receive the typed [`StudyError::BuildFailed`]; the key stays poisoned
 //! (a deterministic build that failed three times will fail a fourth).
+//!
+//! Cell reuse: the store also keeps the simulated trials of every
+//! two-job (workload, configuration) point the plain multi-program
+//! drivers ask for, keyed on everything that determines them. Figure 4's
+//! workloads are three of Figure 5's pairs, so a report that runs both
+//! sweeps on one store simulates each shared point once (DESIGN.md §17).
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
+use paxsim_machine::config::MachineConfig;
+use paxsim_machine::topology::Lcpu;
 use paxsim_machine::trace::ProgramTrace;
 use paxsim_nas::{Class, KernelId};
 use paxsim_omp::schedule::Schedule;
 
+use crate::configs::HwConfig;
 use crate::error::{panic_payload, StudyError, StudyResult};
 use crate::faultinject;
+use crate::multi::WorkloadRuns;
+use crate::study::StudyOptions;
 
 /// Total build attempts (first try + waiter retries) per key.
 pub const MAX_BUILD_ATTEMPTS: u32 = 3;
@@ -36,6 +47,40 @@ pub struct TraceKey {
     pub nthreads: usize,
     pub schedule: Schedule,
 }
+
+/// Key identifying one simulated two-job point, apart from the machine
+/// model (the store's outer key, compared by value). The benchmark list
+/// and the configuration's name are deliberately absent: neither reaches
+/// the simulator.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) struct CellKey {
+    workload: (KernelId, KernelId),
+    contexts: Vec<Lcpu>,
+    class: Class,
+    schedule: Schedule,
+    trials: usize,
+    jitter_cycles: u64,
+}
+
+impl CellKey {
+    pub(crate) fn new(
+        opts: &StudyOptions,
+        workload: (KernelId, KernelId),
+        config: &HwConfig,
+    ) -> Self {
+        Self {
+            workload,
+            contexts: config.contexts.clone(),
+            class: opts.class,
+            schedule: opts.schedule,
+            trials: opts.trials,
+            jitter_cycles: opts.jitter_cycles,
+        }
+    }
+}
+
+/// Finished cells of one machine model.
+type MachineCells = (MachineConfig, HashMap<CellKey, Arc<WorkloadRuns>>);
 
 /// In-progress build that later callers wait on instead of re-building.
 #[derive(Default)]
@@ -81,6 +126,9 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
 pub struct TraceStore {
     map: Mutex<HashMap<TraceKey, Entry>>,
     builds: AtomicU64,
+    /// Simulated two-job points, per machine model (a handful at most,
+    /// compared with `==` like the engine's memo table).
+    cells: Mutex<Vec<MachineCells>>,
 }
 
 impl TraceStore {
@@ -239,6 +287,36 @@ impl TraceStore {
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// The simulated trials of the point `key` on `machine`, running
+    /// `simulate` on first use. Racing callers may both simulate; the
+    /// runs are deterministic, and the first to finish is kept.
+    pub(crate) fn workload_runs(
+        &self,
+        machine: &MachineConfig,
+        key: CellKey,
+        simulate: impl FnOnce() -> WorkloadRuns,
+    ) -> Arc<WorkloadRuns> {
+        let find = |cells: &[MachineCells]| cells.iter().position(|(m, _)| m == machine);
+        {
+            let cells = lock(&self.cells);
+            if let Some(runs) = find(&cells).and_then(|i| cells[i].1.get(&key)) {
+                return runs.clone();
+            }
+        }
+        let runs = Arc::new(simulate());
+        let mut cells = lock(&self.cells);
+        let i = find(&cells).unwrap_or_else(|| {
+            cells.push((machine.clone(), HashMap::new()));
+            cells.len() - 1
+        });
+        cells[i].1.entry(key).or_insert(runs).clone()
+    }
+
+    /// Number of two-job points held, over every machine model.
+    pub fn cells(&self) -> usize {
+        lock(&self.cells).iter().map(|(_, m)| m.len()).sum()
     }
 }
 

@@ -135,17 +135,48 @@ pub struct PlatformNumbers {
     pub write_bw_2chip: f64,
 }
 
-/// Measure all Section 3 quantities.
-pub fn platform_numbers(cfg: &MachineConfig) -> PlatformNumbers {
-    PlatformNumbers {
-        l1_ns: latency_ns(cfg, 8 * 1024),          // fits L1
-        l2_ns: latency_ns(cfg, 256 * 1024),        // fits L2, misses L1
-        mem_ns: latency_ns(cfg, 16 * 1024 * 1024), // misses L2
-        read_bw_1chip: read_bw_gbs(cfg, &[Lcpu::B0]),
-        write_bw_1chip: write_bw_gbs(cfg, &[Lcpu::B0]),
-        read_bw_2chip: read_bw_gbs(cfg, &[Lcpu::B0, Lcpu::B2]),
-        write_bw_2chip: write_bw_gbs(cfg, &[Lcpu::B0, Lcpu::B2]),
+impl PlatformNumbers {
+    /// Assemble the numbers from the results of [`probe`] `0..PROBES`.
+    pub fn from_probes(v: [f64; PROBES]) -> Self {
+        let [l1_ns, l2_ns, mem_ns, read_bw_1chip, write_bw_1chip, read_bw_2chip, write_bw_2chip] =
+            v;
+        Self {
+            l1_ns,
+            l2_ns,
+            mem_ns,
+            read_bw_1chip,
+            write_bw_1chip,
+            read_bw_2chip,
+            write_bw_2chip,
+        }
     }
+}
+
+/// Number of independent Section 3 probes.
+pub const PROBES: usize = 7;
+
+/// Run Section 3 probe `i` (in [`PlatformNumbers`] field order). Each
+/// probe is its own simulation, so callers may run them in parallel.
+///
+/// # Panics
+///
+/// Panics if `i >= PROBES`.
+pub fn probe(cfg: &MachineConfig, i: usize) -> f64 {
+    match i {
+        0 => latency_ns(cfg, 8 * 1024),         // fits L1
+        1 => latency_ns(cfg, 256 * 1024),       // fits L2, misses L1
+        2 => latency_ns(cfg, 16 * 1024 * 1024), // misses L2
+        3 => read_bw_gbs(cfg, &[Lcpu::B0]),
+        4 => write_bw_gbs(cfg, &[Lcpu::B0]),
+        5 => read_bw_gbs(cfg, &[Lcpu::B0, Lcpu::B2]),
+        6 => write_bw_gbs(cfg, &[Lcpu::B0, Lcpu::B2]),
+        _ => panic!("no Section 3 probe {i}"),
+    }
+}
+
+/// Measure all Section 3 quantities, one probe after another.
+pub fn platform_numbers(cfg: &MachineConfig) -> PlatformNumbers {
+    PlatformNumbers::from_probes(std::array::from_fn(|i| probe(cfg, i)))
 }
 
 #[cfg(test)]

@@ -176,23 +176,30 @@ mod tests {
             }
         }
 
+        /// `(entries, ways, pages)`: a small TLB, then the machine's
+        /// 64-entry 4-way ITLB/DTLB, each over twice its reach in pages.
+        const SHAPES: [(usize, usize, u64); 2] = [(16, 4, 32), (64, 4, 128)];
+
         proptest! {
             /// The filtered TLB answers every translation exactly like the
-            /// naive reference over arbitrary address streams — including
-            /// streams dense with the back-to-back repeats the last-page
-            /// filter short-circuits.
+            /// naive reference over arbitrary address streams, on every
+            /// shape in [`SHAPES`] — including streams dense with the
+            /// back-to-back repeats the last-page filter short-circuits.
             #[test]
             fn equivalent_to_reference_tlb(
-                addrs in proptest::collection::vec(0u64..(32 * 4096), 1..600),
+                addrs in proptest::collection::vec(0u64..(1 << 30), 1..1200),
             ) {
-                let mut fast = Tlb::new(16, 4, 4096);
-                let mut re = RefTlb::new(16, 4, 4096);
-                for (step, &a) in addrs.iter().enumerate() {
-                    prop_assert_eq!(
-                        fast.access(a),
-                        re.access(a),
-                        "TLB diverged at step {} (addr {:#x})", step, a
-                    );
+                for (entries, ways, pages) in SHAPES {
+                    let mut fast = Tlb::new(entries, ways, 4096);
+                    let mut re = RefTlb::new(entries, ways, 4096);
+                    for (step, &a) in addrs.iter().enumerate() {
+                        let a = a % (pages * 4096);
+                        prop_assert_eq!(
+                            fast.access(a),
+                            re.access(a),
+                            "{}-entry TLB diverged at step {} (addr {:#x})", entries, step, a
+                        );
+                    }
                 }
             }
         }

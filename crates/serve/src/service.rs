@@ -1742,6 +1742,26 @@ mod tests {
     }
 
     #[test]
+    fn cold_grid_keeps_no_two_job_cells_in_the_trace_store() {
+        // Cell reuse belongs to the batch study drivers: a daemon's trace
+        // store must not grow with every point it serves.
+        let _quiet = paxsim_core::faultinject::quiesced();
+        let s = service("cold_grid_cells");
+        for kernel in ["ep", "is"] {
+            for config in ["SMT", "CMP", "CMT"] {
+                let reply = s.handle_line(&format!(
+                    r#"{{"op":"simulate","kernel":"{kernel}","config":"{config}"}}"#
+                ));
+                assert!(reply.contains("\"ok\":true"), "{reply}");
+            }
+        }
+        let tune = s.handle_line(EP_TUNE);
+        assert!(tune.contains("\"ok\":true"), "{tune}");
+        assert!(s.store().builds() > 0, "the grid built traces");
+        assert_eq!(s.store().cells(), 0, "no two-job cell kept");
+    }
+
+    #[test]
     fn speedup_agrees_with_the_single_program_driver() {
         let _quiet = paxsim_core::faultinject::quiesced();
         let s = service("parity");
