@@ -177,6 +177,32 @@ SERVE_PID=""
 [ ! -e "$SERVE_SOCK" ] || { echo "socket file not removed on drain"; exit 1; }
 echo "serve smoke passed: byte-identical hit, counted, clean SIGTERM drain"
 
+echo "== serve idle CPU (one open connection, no traffic) =="
+# An idle reactor blocks in poll(2) until a socket or a worker has news;
+# no timer wakes it. Hold one connection open without sending anything
+# and require at most 3 CPU ticks (utime + stime) over 3 s.
+target/release/paxsim-serve --tcp 127.0.0.1:0 --cache "$SERVE_TMP/idle_cache" \
+    > "$SERVE_TMP/idle.out" &
+SERVE_PID=$!
+for _ in $(seq 1 100); do grep -q "listening on tcp" "$SERVE_TMP/idle.out" && break; sleep 0.1; done
+IDLE_ADDR=$(sed -n 's/.*listening on tcp \(.*\)/\1/p' "$SERVE_TMP/idle.out")
+[ -n "$IDLE_ADDR" ] || { echo "idle daemon never reported its address"; exit 1; }
+exec 3<>"/dev/tcp/${IDLE_ADDR%:*}/${IDLE_ADDR##*:}"
+sleep 0.5
+IDLE_T0=$(awk '{ print $14 + $15 }' "/proc/$SERVE_PID/stat")
+sleep 3
+IDLE_T1=$(awk '{ print $14 + $15 }' "/proc/$SERVE_PID/stat")
+exec 3>&-
+kill -TERM "$SERVE_PID"
+wait "$SERVE_PID"
+SERVE_PID=""
+IDLE_TICKS=$((IDLE_T1 - IDLE_T0))
+[ "$IDLE_TICKS" -le 3 ] || {
+    echo "idle daemon used $IDLE_TICKS CPU ticks over 3 s (limit 3)"
+    exit 1
+}
+echo "idle CPU passed: $IDLE_TICKS ticks over 3 s with one open connection"
+
 echo "== serve load smoke (reactor + batching + sharded cache, quick) =="
 # The load generator self-asserts the scaling invariants — batch merging
 # actually happened, per-shard hits + misses add up to requests +

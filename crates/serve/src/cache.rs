@@ -106,14 +106,25 @@ pub fn shard_index(hash: ConfigHash, n_shards: usize) -> usize {
 // One shard: LRU over journal, exactly the PR-4 two-tier semantics.
 // ---------------------------------------------------------------------------
 
-struct Lru {
+/// A bounded map that evicts its least recently used key. Shared with
+/// the service's finished-tune cache.
+pub(crate) struct Lru<V> {
     cap: usize,
-    map: HashMap<u64, Record>,
+    map: HashMap<u64, V>,
     /// Keys from coldest (front) to hottest (back).
     order: VecDeque<u64>,
 }
 
-impl Lru {
+impl<V: Clone> Lru<V> {
+    /// An empty map holding at most `cap` entries (`0` stores nothing).
+    pub(crate) fn new(cap: usize) -> Lru<V> {
+        Lru {
+            cap,
+            map: HashMap::new(),
+            order: VecDeque::new(),
+        }
+    }
+
     fn touch(&mut self, key: u64) {
         if let Some(pos) = self.order.iter().position(|&k| k == key) {
             self.order.remove(pos);
@@ -121,18 +132,18 @@ impl Lru {
         self.order.push_back(key);
     }
 
-    fn get(&mut self, key: u64) -> Option<Record> {
+    pub(crate) fn get(&mut self, key: u64) -> Option<V> {
         let rec = self.map.get(&key).cloned()?;
         self.touch(key);
         Some(rec)
     }
 
     /// Non-mutating lookup: no recency touch, no promotion.
-    fn peek(&self, key: u64) -> Option<Record> {
+    fn peek(&self, key: u64) -> Option<V> {
         self.map.get(&key).cloned()
     }
 
-    fn put(&mut self, key: u64, rec: Record) {
+    pub(crate) fn put(&mut self, key: u64, rec: V) {
         if self.cap == 0 {
             return;
         }
@@ -143,13 +154,17 @@ impl Lru {
             self.map.remove(&coldest);
         }
     }
+
+    pub(crate) fn len(&self) -> usize {
+        self.map.len()
+    }
 }
 
 /// One independent cache shard: private LRU, private journal, private
 /// counters. No state is shared between shards, which is the whole point.
 struct Shard {
     journal: Journal,
-    mem: Mutex<Lru>,
+    mem: Mutex<Lru<Record>>,
     mem_hits: AtomicU64,
     disk_hits: AtomicU64,
     misses: AtomicU64,
@@ -159,7 +174,7 @@ struct Shard {
     put_failures: AtomicU64,
 }
 
-fn lock(m: &Mutex<Lru>) -> MutexGuard<'_, Lru> {
+fn lock(m: &Mutex<Lru<Record>>) -> MutexGuard<'_, Lru<Record>> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
@@ -313,11 +328,7 @@ impl ResultCache {
                 let journal = Journal::open_with(&dir.join(shard_file_name(i)), fsync)?;
                 Ok(Shard {
                     journal,
-                    mem: Mutex::new(Lru {
-                        cap: per_shard_cap,
-                        map: HashMap::new(),
-                        order: VecDeque::new(),
-                    }),
+                    mem: Mutex::new(Lru::new(per_shard_cap)),
                     mem_hits: AtomicU64::new(0),
                     disk_hits: AtomicU64::new(0),
                     misses: AtomicU64::new(0),
@@ -458,7 +469,7 @@ impl ResultCache {
 
     /// Records currently resident in memory, summed across shards.
     pub fn mem_len(&self) -> usize {
-        self.shards.iter().map(|s| lock(&s.mem).map.len()).sum()
+        self.shards.iter().map(|s| lock(&s.mem).len()).sum()
     }
 
     /// Distinct results durable on disk, summed across shards.
@@ -484,7 +495,7 @@ impl ResultCache {
                 disk_hits: s.disk_hits.load(Ordering::Relaxed),
                 misses: s.misses.load(Ordering::Relaxed),
                 puts: s.puts.load(Ordering::Relaxed),
-                entries_mem: lock(&s.mem).map.len(),
+                entries_mem: lock(&s.mem).len(),
                 entries_disk: s.journal.len(),
                 corrupt_dropped: s.journal.corrupt_records(),
                 write_errors: s.journal.write_errors(),

@@ -34,7 +34,7 @@ use serde::{Serialize, Value};
 
 use crate::batch::{Batcher, Role};
 use crate::breaker::Breaker;
-use crate::cache::ResultCache;
+use crate::cache::{Lru, ResultCache};
 use crate::protocol::{self, Request};
 
 /// Daemon tuning knobs.
@@ -42,7 +42,8 @@ use crate::protocol::{self, Request};
 pub struct ServeConfig {
     /// Directory holding the on-disk cache tier.
     pub cache_dir: std::path::PathBuf,
-    /// Memory-tier capacity in records.
+    /// Memory-tier capacity in records. Also caps the finished-tune
+    /// cache, in searches.
     pub mem_cap: usize,
     /// Concurrent cache-miss computations admitted.
     pub max_running: usize,
@@ -311,8 +312,9 @@ pub struct Service {
     /// request's `ConfigHash` (its own key space: the hash grafts an
     /// `"op":"tune"` marker). In-memory only — durability comes from the
     /// cell journal, which replays a completed search at zero engine
-    /// cost after a restart.
-    tune_cache: Mutex<HashMap<u64, TuneResult>>,
+    /// cost after a restart — or after this LRU, capped at `mem_cap`
+    /// searches, evicts it.
+    tune_cache: Mutex<Lru<TuneResult>>,
     /// Single-flight table for tune searches. Like the predicted tier:
     /// its own table (a search takes seconds and must not block exact
     /// flights) and never batched — the search decides its own
@@ -360,6 +362,7 @@ impl Service {
             Duration::from_millis(cfg.breaker_cooldown_ms),
         );
         let auditor = PredictAuditor::new(cfg.predict_sample_every);
+        let tune_cache = Mutex::new(Lru::new(cfg.mem_cap));
         Ok(Service {
             cfg,
             store: TraceStore::new(),
@@ -384,7 +387,7 @@ impl Service {
             predicted_served: AtomicU64::new(0),
             predict_latencies: Mutex::new(Vec::new()),
             tune_journal,
-            tune_cache: Mutex::new(HashMap::new()),
+            tune_cache,
             tune_inflight: Inflight::new(),
             tunes: AtomicU64::new(0),
             tune_hits: AtomicU64::new(0),
@@ -857,7 +860,7 @@ impl Service {
         let plan = req.plan().map_err(Rejection::Failed)?;
         let hash = plan.content_hash();
         self.tunes.fetch_add(1, Ordering::Relaxed);
-        if let Some(result) = lock(&self.tune_cache).get(&hash.0).cloned() {
+        if let Some(result) = lock(&self.tune_cache).get(hash.0) {
             self.tune_hits.fetch_add(1, Ordering::Relaxed);
             HITS.inc();
             return Ok((hash, plan.request, result));
@@ -865,7 +868,7 @@ impl Service {
         let (result, _flight) = self.tune_inflight.run(hash.0, || {
             let _span = paxsim_obs::span!("serve.tune", kernel = plan.request.kernel);
             // Double-check under the flight slot.
-            if let Some(result) = lock(&self.tune_cache).get(&hash.0).cloned() {
+            if let Some(result) = lock(&self.tune_cache).get(hash.0) {
                 self.tune_hits.fetch_add(1, Ordering::Relaxed);
                 HITS.inc();
                 return Ok(Ok(result));
@@ -938,7 +941,7 @@ impl Service {
             if paxsim_obs::enabled() {
                 paxsim_obs::gauge("serve.tune.best_speedup").set(result.speedup);
             }
-            lock(&self.tune_cache).insert(hash.0, result.clone());
+            lock(&self.tune_cache).put(hash.0, result.clone());
             Ok(Ok(result))
         });
         match result {
@@ -2328,6 +2331,36 @@ mod tests {
             Some(0),
             "tune books no simulate traffic: {stats}"
         );
+    }
+
+    #[test]
+    fn evicted_tune_replays_from_journal_byte_identical() {
+        // With `mem_cap` 1 the finished-tune LRU holds one search: a
+        // second search evicts the first, and repeating the first is
+        // answered by replaying its journaled cells — no engine work, no
+        // cache hit, the same bytes.
+        let _quiet = paxsim_core::faultinject::quiesced();
+        let s = Service::open(ServeConfig {
+            cache_dir: tmp("tune_evict"),
+            mem_cap: 1,
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let other =
+            r#"{"op":"tune","kernel":"ep","configs":["CMP"],"schedules":["static"],"budget":8}"#;
+        let first = s.handle_line(EP_TUNE);
+        assert!(first.contains("\"ok\":true"), "{first}");
+        assert_eq!(lock(&s.tune_cache).len(), 1);
+        let evictor = s.handle_line(other);
+        assert!(evictor.contains("\"ok\":true"), "{evictor}");
+        assert_eq!(lock(&s.tune_cache).len(), 1, "cap is one search");
+        let (computed, resumes) = (s.computed(), s.tune_resumes());
+        let again = s.handle_line(EP_TUNE);
+        assert_eq!(again, first, "journal replay must be byte-identical");
+        assert_eq!(lock(&s.tune_cache).len(), 1, "cap is one search");
+        assert_eq!(s.computed(), computed, "replay ran no engine work");
+        assert_eq!(s.tune_hits(), 0, "the evicted search was not a hit");
+        assert_eq!(s.tune_resumes(), resumes + 1, "answered by replay");
     }
 
     #[test]
