@@ -11,6 +11,16 @@ cargo build --release --workspace
 echo "== cargo test =="
 cargo test -q --workspace
 
+echo "== core + serve tests, oversubscribed (3 runs) =="
+# Fault plans belong to the thread that installs them and the threads it
+# starts; 8 test threads on a 2-core host force the interleavings in
+# which a leaked plan would fire in a neighbouring test. Any failure in
+# any run fails the gate.
+for run in 1 2 3; do
+    echo "-- run $run/3"
+    cargo test -q -p paxsim-core -p paxsim-serve -- --test-threads=8
+done
+
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 
@@ -26,8 +36,8 @@ cargo test -q -p paxsim-predict --release --test fidelity_gate
 echo "== resilience suite under live fault injection =="
 # Both injected faults are single-use: the resilient sweep must absorb
 # them (retry the panicked cell, rebuild the panicked trace) and come out
-# clean and bit-identical to an uninjected run. Runs alone in its own
-# process — fault plans are process-global.
+# clean and bit-identical to an uninjected run. The test installs the
+# PAXSIM_FAULTS plan around its own sweeps only.
 PAXSIM_FAULTS="cell-panic:1:1,build-panic:ep:1" \
     cargo test -q -p paxsim-core --release --test resilience env_fault_plan_is_absorbed_cleanly
 

@@ -1,17 +1,23 @@
 //! Deterministic fault injection for the resilience test harness.
 //!
 //! The sweep machinery calls tiny hooks at its recovery-relevant choke
-//! points (trace build start, cell start, fast-engine result). Each hook
-//! first does a single relaxed atomic load; when no faults are installed —
-//! the production configuration — that load is the *entire* cost, so the
-//! harness is a no-op on the hot path.
+//! points (trace build start, cell start, fast-engine result, journal
+//! append, and the serve reactor and workers). A fault plan belongs to one
+//! execution: [`with_plan`] and [`scoped`] install it in a thread-local
+//! for the length of a closure, and the threads that execution starts —
+//! [`pool`](crate::pool) workers, serve reactors and compute workers —
+//! take it over through [`current`] and [`scoped`]. A thread outside
+//! every scope sees no plan, so a test's faults never reach a sweep that
+//! another test runs at the same time, and no test has to lock anything.
 //!
-//! Faults come from two sources:
+//! With no plan installed — the production configuration — a hook costs
+//! one thread-local read: the slot's initialised-state check, the
+//! `RefCell` borrow flag and a null test. No atomic, no shared cache line.
 //!
-//! * the `PAXSIM_FAULTS` environment variable, parsed once per process
-//!   (used by `ci.sh` to run the whole resilience suite under injection);
-//! * [`with_plan`], which installs a plan for the duration of a closure
-//!   under a global lock (used by tests; overrides the env plan).
+//! Plans come from [`FaultPlan::parse`] (tests, through [`with_plan`]) or
+//! from the `PAXSIM_FAULTS` environment variable through
+//! [`FaultPlan::from_env`], which an entry point hands to [`scoped`]
+//! around the work it wants injected.
 //!
 //! Spec syntax — comma-separated faults, colon-separated fields:
 //!
@@ -30,15 +36,20 @@
 //!                                exercising the partial-write/slow-reader path (default 64)
 //! predict-bias[:times]           bias the analytical predictor's wall-clock estimate so the
 //!                                prediction auditor must catch it (default unlimited)
+//! tune-abort:<period>[:times]    fail a tune search at fresh evaluation n when n % period == 0
+//!                                (default 1 use)
 //! ```
 //!
 //! Every fault carries a remaining-use counter, so "fail the first
-//! attempt, succeed on retry" scenarios are expressed as `…:1`. The
-//! module also ships journal corruption helpers ([`truncate_tail`],
+//! attempt, succeed on retry" scenarios are expressed as `…:1`. Job and
+//! frame numbers for the `<period>` matchers count from the plan's start,
+//! and the plan counts the serve faults it fired ([`FaultPlan::fired`]).
+//! The module also ships journal corruption helpers ([`truncate_tail`],
 //! [`flip_bit`]) used by the resume/corruption tests and the CI smoke.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::cell::RefCell;
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// One injected fault with its remaining-use budget.
 #[derive(Debug)]
@@ -63,10 +74,17 @@ enum FaultKind {
     TuneAbort { period: u64 },
 }
 
-/// A parsed fault plan.
+/// A parsed fault plan with the counters of the execution it runs in.
 #[derive(Debug, Default)]
 pub struct FaultPlan {
     faults: Vec<Fault>,
+    /// Serve worker jobs and dispatched frames seen under this plan.
+    jobs: AtomicU64,
+    frames: AtomicU64,
+    /// Serve faults fired under this plan.
+    worker_panics: AtomicU64,
+    conn_kills: AtomicU64,
+    partial_writes: AtomicU64,
 }
 
 impl FaultPlan {
@@ -162,7 +180,34 @@ impl FaultPlan {
                 remaining: AtomicU32::new(times.min(u32::MAX as u64) as u32),
             });
         }
-        Ok(FaultPlan { faults })
+        Ok(FaultPlan {
+            faults,
+            ..FaultPlan::default()
+        })
+    }
+
+    /// The plan `PAXSIM_FAULTS` names, or `None` when it is unset, empty
+    /// or unparsable (reported on stderr). Pass it to [`scoped`].
+    pub fn from_env() -> Option<Arc<FaultPlan>> {
+        let spec = std::env::var("PAXSIM_FAULTS").ok()?;
+        match FaultPlan::parse(&spec) {
+            Ok(p) if !p.faults.is_empty() => Some(Arc::new(p)),
+            Ok(_) => None,
+            Err(e) => {
+                eprintln!("PAXSIM_FAULTS ignored: {e}");
+                None
+            }
+        }
+    }
+
+    /// Serve faults fired under this plan so far:
+    /// `(worker_panics, conn_kills, partial_writes)`.
+    pub fn fired(&self) -> (u64, u64, u64) {
+        (
+            self.worker_panics.load(Ordering::Relaxed),
+            self.conn_kills.load(Ordering::Relaxed),
+            self.partial_writes.load(Ordering::Relaxed),
+        )
     }
 
     fn consume(&self, want: impl Fn(&FaultKind) -> bool) -> Option<&FaultKind> {
@@ -188,100 +233,54 @@ impl FaultPlan {
     }
 }
 
-/// Fast-path gate: true iff *any* plan (env or installed) is live.
-static ACTIVE: AtomicBool = AtomicBool::new(false);
-/// Test-installed plan; overrides the env plan while present.
-static INSTALLED: Mutex<Option<FaultPlan>> = Mutex::new(None);
-/// Serializes tests that install plans (fault state is process-global).
-static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    // A panicking faulted test must not poison the harness for the rest
-    // of the suite — the guarded state stays consistent either way.
-    m.lock().unwrap_or_else(|e| e.into_inner())
+thread_local! {
+    /// The plan of the execution this thread belongs to, if any.
+    static PLAN: RefCell<Option<Arc<FaultPlan>>> = const { RefCell::new(None) };
 }
 
-/// The process-wide env plan, parsed once from `PAXSIM_FAULTS`.
-fn env_plan() -> &'static Option<FaultPlan> {
-    static PLAN: OnceLock<Option<FaultPlan>> = OnceLock::new();
-    PLAN.get_or_init(|| {
-        let spec = std::env::var("PAXSIM_FAULTS").ok()?;
-        match FaultPlan::parse(&spec) {
-            Ok(p) if !p.faults.is_empty() => {
-                ACTIVE.store(true, Ordering::Relaxed);
-                Some(p)
-            }
-            Ok(_) => None,
-            Err(e) => {
-                eprintln!("PAXSIM_FAULTS ignored: {e}");
-                None
-            }
-        }
-    })
+/// The fault plan of the calling thread's execution, for handing to the
+/// threads it starts (see [`scoped`]).
+pub fn current() -> Option<Arc<FaultPlan>> {
+    PLAN.with_borrow(Clone::clone)
 }
 
-/// Force env-plan parsing (call once early so `active()` is accurate
-/// before the first hook fires). Returns whether an env plan is live.
-pub fn init_from_env() -> bool {
-    env_plan().is_some()
-}
-
-/// Is any fault plan live? One relaxed load — the entire disabled-path
-/// cost of every hook.
-#[inline]
-pub fn active() -> bool {
-    ACTIVE.load(Ordering::Relaxed)
-}
-
-/// Hold off every [`with_plan`] caller for the guard's lifetime.
-///
-/// Fault plans are process-global: a sweep running in one test can
-/// consume a fault another test just installed. Tests that run clean
-/// sweeps (baselines for a bit-identity comparison, resume runs) take
-/// this guard so no plan can be live while they execute; tests that
-/// inject take [`with_plan`], which holds the same lock. Acquire it
-/// *before* computing a baseline and drop it before calling `with_plan`
-/// — the lock is not reentrant.
-pub fn quiesced() -> MutexGuard<'static, ()> {
-    lock(&TEST_LOCK)
-}
-
-/// Run `f` with `spec` installed as the process fault plan, serializing
-/// against every other `with_plan` caller. The previous state is restored
-/// even if `f` panics.
-pub fn with_plan<R>(spec: &str, f: impl FnOnce() -> R) -> R {
-    let plan = FaultPlan::parse(spec).expect("with_plan: bad fault spec");
-    let _serial = lock(&TEST_LOCK);
-    struct Restore;
+/// Run `f` with `plan` as the calling thread's fault plan (`None` runs it
+/// fault-free). The previous plan is restored when `f` returns or panics.
+/// A thread that starts workers passes them [`current`] through this.
+pub fn scoped<R>(plan: Option<Arc<FaultPlan>>, f: impl FnOnce() -> R) -> R {
+    struct Restore(Option<Arc<FaultPlan>>);
     impl Drop for Restore {
         fn drop(&mut self) {
-            *lock(&INSTALLED) = None;
-            ACTIVE.store(env_plan().is_some(), Ordering::Relaxed);
+            PLAN.set(self.0.take());
         }
     }
-    *lock(&INSTALLED) = Some(plan);
-    ACTIVE.store(true, Ordering::Relaxed);
-    let _restore = Restore;
+    let _restore = Restore(PLAN.replace(plan));
     f()
 }
 
-fn consume(want: impl Fn(&FaultKind) -> bool + Copy) -> Option<FaultKind> {
-    let installed = lock(&INSTALLED);
-    if let Some(plan) = installed.as_ref() {
-        return plan.consume(want).cloned();
-    }
-    drop(installed);
-    env_plan().as_ref().and_then(|p| p.consume(want).cloned())
+/// Run `f` with `spec` parsed and installed as the calling thread's fault
+/// plan, as [`scoped`] does.
+pub fn with_plan<R>(spec: &str, f: impl FnOnce() -> R) -> R {
+    let plan = FaultPlan::parse(spec).expect("with_plan: bad fault spec");
+    scoped(Some(Arc::new(plan)), f)
+}
+
+/// Run `hook` against the calling thread's plan; `None` without one.
+#[inline]
+fn with_current<R>(hook: impl FnOnce(&FaultPlan) -> Option<R>) -> Option<R> {
+    PLAN.with_borrow(|p| p.as_deref().and_then(hook))
+}
+
+/// Claim one use of the first fault `want` matches in the current plan.
+fn fire(want: impl Fn(&FaultKind) -> bool) -> bool {
+    with_current(|p| p.consume(want).map(drop)).is_some()
 }
 
 /// Hook: start of a trace build for `kernel`. Panics if a matching
 /// `build-panic` fault has budget left.
 #[inline]
 pub(crate) fn build_hook(kernel: &str) {
-    if !active() {
-        return;
-    }
-    if consume(|k| matches!(k, FaultKind::BuildPanic { kernel: fk } if fk == kernel)).is_some() {
+    if fire(|k| matches!(k, FaultKind::BuildPanic { kernel: fk } if fk == kernel)) {
         panic!("injected build fault for {kernel}");
     }
 }
@@ -290,15 +289,16 @@ pub(crate) fn build_hook(kernel: &str) {
 /// fault, panics on a matching `cell-panic` fault.
 #[inline]
 pub(crate) fn cell_hook(index: usize) {
-    if !active() {
-        return;
-    }
-    if let Some(FaultKind::CellSlow { ms, .. }) =
-        consume(|k| matches!(k, FaultKind::CellSlow { index: fi, .. } if *fi == index))
-    {
+    let slow = with_current(|p| {
+        match p.consume(|k| matches!(k, FaultKind::CellSlow { index: fi, .. } if *fi == index)) {
+            Some(FaultKind::CellSlow { ms, .. }) => Some(*ms),
+            _ => None,
+        }
+    });
+    if let Some(ms) = slow {
         std::thread::sleep(std::time::Duration::from_millis(ms));
     }
-    if consume(|k| matches!(k, FaultKind::CellPanic { index: fi } if *fi == index)).is_some() {
+    if fire(|k| matches!(k, FaultKind::CellPanic { index: fi } if *fi == index)) {
         panic!("injected cell fault at item {index}");
     }
 }
@@ -307,44 +307,46 @@ pub(crate) fn cell_hook(index: usize) {
 /// (simulating engine drift the sentinel must catch)?
 #[inline]
 pub(crate) fn drift_hook(kernel: &str) -> bool {
-    if !active() {
-        return false;
-    }
-    consume(|k| matches!(k, FaultKind::Drift { kernel: fk } if fk == kernel)).is_some()
+    fire(|k| matches!(k, FaultKind::Drift { kernel: fk } if fk == kernel))
 }
 
 /// Hook: about to append a journal record. True iff a `journal-fail`
 /// fault has budget left — the caller must turn that into an I/O error.
 #[inline]
 pub(crate) fn journal_fail_hook() -> bool {
-    if !active() {
-        return false;
-    }
-    consume(|k| matches!(k, FaultKind::JournalFail)).is_some()
+    fire(|k| matches!(k, FaultKind::JournalFail))
 }
 
-/// Hook: serve worker about to run job number `job`. True iff a
-/// `serve-worker-panic` fault matches (`job % period == 0`) and has
-/// budget left — the caller panics inside its own isolation boundary.
+/// Hook: a serve worker is about to run a job. Counts the job against the
+/// plan and returns its number when a `serve-worker-panic` fault matches
+/// (`job % period == 0`) with budget left — the caller panics inside its
+/// own isolation boundary.
 #[inline]
-pub fn serve_worker_panic(job: u64) -> bool {
-    if !active() {
-        return false;
-    }
-    consume(|k| matches!(k, FaultKind::ServeWorkerPanic { period } if job.is_multiple_of(*period)))
-        .is_some()
+pub fn serve_worker_panic() -> Option<u64> {
+    with_current(|p| {
+        let job = p.jobs.fetch_add(1, Ordering::Relaxed) + 1;
+        p.consume(
+            |k| matches!(k, FaultKind::ServeWorkerPanic { period } if job.is_multiple_of(*period)),
+        )?;
+        p.worker_panics.fetch_add(1, Ordering::Relaxed);
+        Some(job)
+    })
 }
 
-/// Hook: reactor dispatched frame number `frame`. True iff a
-/// `serve-conn-kill` fault matches (`frame % period == 0`) and has budget
-/// left — the caller drops the connection carrying that frame.
+/// Hook: the reactor dispatched a frame. Counts the frame against the
+/// plan; true when a `serve-conn-kill` fault matches (`frame % period ==
+/// 0`) with budget left — the caller drops the connection carrying it.
 #[inline]
-pub fn serve_conn_kill(frame: u64) -> bool {
-    if !active() {
-        return false;
-    }
-    consume(|k| matches!(k, FaultKind::ServeConnKill { period } if frame.is_multiple_of(*period)))
-        .is_some()
+pub fn serve_conn_kill() -> bool {
+    with_current(|p| {
+        let frame = p.frames.fetch_add(1, Ordering::Relaxed) + 1;
+        p.consume(
+            |k| matches!(k, FaultKind::ServeConnKill { period } if frame.is_multiple_of(*period)),
+        )?;
+        p.conn_kills.fetch_add(1, Ordering::Relaxed);
+        Some(())
+    })
+    .is_some()
 }
 
 /// Hook: batch leader about to execute a gathered sweep. True iff a
@@ -352,10 +354,7 @@ pub fn serve_conn_kill(frame: u64) -> bool {
 /// batcher's poison-recovery path is exercised.
 #[inline]
 pub fn serve_batch_panic() -> bool {
-    if !active() {
-        return false;
-    }
-    consume(|k| matches!(k, FaultKind::ServeBatchPanic)).is_some()
+    fire(|k| matches!(k, FaultKind::ServeBatchPanic))
 }
 
 /// Hook: tune search about to run fresh evaluation number `evals`
@@ -364,24 +363,19 @@ pub fn serve_batch_panic() -> bool {
 /// tune request mid-search so the journaled-resume path is exercised.
 #[inline]
 pub fn tune_abort(evals: u64) -> bool {
-    if !active() {
-        return false;
-    }
-    consume(|k| matches!(k, FaultKind::TuneAbort { period } if evals.is_multiple_of(*period)))
-        .is_some()
+    fire(|k| matches!(k, FaultKind::TuneAbort { period } if evals.is_multiple_of(*period)))
 }
 
 /// Hook: shard cache lookup. Returns the injected latency of a matching
 /// `serve-shard-slow` fault, if any — the caller sleeps that long.
 #[inline]
 pub fn serve_shard_slow() -> Option<u64> {
-    if !active() {
-        return None;
-    }
-    match consume(|k| matches!(k, FaultKind::ServeShardSlow { .. })) {
-        Some(FaultKind::ServeShardSlow { ms }) => Some(ms),
-        _ => None,
-    }
+    with_current(
+        |p| match p.consume(|k| matches!(k, FaultKind::ServeShardSlow { .. })) {
+            Some(FaultKind::ServeShardSlow { ms }) => Some(*ms),
+            _ => None,
+        },
+    )
 }
 
 /// Hook: reactor about to flush a connection's write queue. True iff a
@@ -389,10 +383,12 @@ pub fn serve_shard_slow() -> Option<u64> {
 /// write pass at one byte, modelling a saturated socket / slow reader.
 #[inline]
 pub fn serve_partial_write() -> bool {
-    if !active() {
-        return false;
-    }
-    consume(|k| matches!(k, FaultKind::ServePartialWrite)).is_some()
+    with_current(|p| {
+        p.consume(|k| matches!(k, FaultKind::ServePartialWrite))?;
+        p.partial_writes.fetch_add(1, Ordering::Relaxed);
+        Some(())
+    })
+    .is_some()
 }
 
 /// Hook: the analytical predictor is about to emit a prediction. True iff
@@ -401,10 +397,25 @@ pub fn serve_partial_write() -> bool {
 /// miscalibrated model the prediction auditor must detect and quarantine.
 #[inline]
 pub fn predict_bias() -> bool {
-    if !active() {
-        return false;
-    }
-    consume(|k| matches!(k, FaultKind::PredictBias)).is_some()
+    fire(|k| matches!(k, FaultKind::PredictBias))
+}
+
+/// Wrap the process panic hook so it drops panics whose message says
+/// "injected": injected faults are absorbed by design (worker retry,
+/// batch poison recovery, degraded puts), and their backtraces would bury
+/// a real panic in the log. Every other panic reaches the previous hook.
+pub fn hide_injected_panics() {
+    let prev = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let payload = info.payload();
+        let msg = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+        if !msg.is_some_and(|m| m.contains("injected")) {
+            prev(info);
+        }
+    }));
 }
 
 // ---------------------------------------------------------------------------
@@ -470,14 +481,20 @@ mod tests {
 
     #[test]
     fn serve_hooks_match_period_and_budget() {
-        with_plan("serve-worker-panic:10:2, serve-conn-kill:3:1", || {
-            assert!(!serve_worker_panic(7), "7 % 10 != 0");
-            assert!(serve_worker_panic(20));
-            assert!(serve_worker_panic(30));
-            assert!(!serve_worker_panic(40), "budget of 2 spent");
-            assert!(serve_conn_kill(9));
-            assert!(!serve_conn_kill(12), "budget of 1 spent");
+        let plan =
+            Arc::new(FaultPlan::parse("serve-worker-panic:10:2, serve-conn-kill:3:1").unwrap());
+        scoped(Some(plan.clone()), || {
+            let jobs: Vec<u64> = (0..40).filter_map(|_| serve_worker_panic()).collect();
+            assert_eq!(
+                jobs,
+                [10, 20],
+                "every 10th job until the budget of 2 is spent"
+            );
+            let kills = (0..12).filter(|_| serve_conn_kill()).count();
+            assert_eq!(kills, 1, "frame 3 fires, then the budget of 1 is spent");
+            assert!(!serve_partial_write(), "no partial-write fault in the plan");
         });
+        assert_eq!(plan.fired(), (2, 1, 0));
         with_plan("serve-shard-slow:17:1, serve-partial-write:2", || {
             assert_eq!(serve_shard_slow(), Some(17));
             assert_eq!(serve_shard_slow(), None);
@@ -517,7 +534,6 @@ mod tests {
             assert!(predict_bias());
             assert!(!predict_bias(), "budget of 1 spent");
         });
-        let _q = quiesced();
         assert!(!predict_bias(), "no plan, no bias");
     }
 
@@ -545,14 +561,19 @@ mod tests {
 
     #[test]
     fn with_plan_installs_and_restores() {
-        assert!(!active() || env_plan().is_some());
+        assert!(current().is_none());
         with_plan("drift:ep", || {
-            assert!(active());
+            assert!(current().is_some());
             assert!(drift_hook("ep"));
             assert!(!drift_hook("cg"));
+            // A nested scope replaces the plan and gives it back.
+            scoped(None, || assert!(!drift_hook("ep")));
+            assert!(drift_hook("ep"));
         });
-        // Restored: either fully off, or back to the env plan.
-        assert_eq!(active(), env_plan().is_some());
+        assert!(current().is_none());
+        let r = std::panic::catch_unwind(|| with_plan("drift:ep", || panic!("boom")));
+        assert!(r.is_err());
+        assert!(current().is_none(), "a panic restores the previous plan");
     }
 
     #[test]

@@ -446,7 +446,6 @@ mod tests {
 
     #[test]
     fn roundtrip_exact() {
-        let _q = crate::faultinject::quiesced();
         let path = tmp("roundtrip.jsonl");
         let j = Journal::open(&path).unwrap();
         j.record("k1", sample_sides()).unwrap();
@@ -466,7 +465,6 @@ mod tests {
 
     #[test]
     fn last_record_wins() {
-        let _q = crate::faultinject::quiesced();
         let path = tmp("dup.jsonl");
         let j = Journal::open(&path).unwrap();
         j.record("k", sample_sides()).unwrap();
@@ -481,7 +479,6 @@ mod tests {
 
     #[test]
     fn truncated_tail_detected_and_dropped() {
-        let _q = crate::faultinject::quiesced();
         let path = tmp("trunc.jsonl");
         let j = Journal::open(&path).unwrap();
         j.record("k1", sample_sides()).unwrap();
@@ -498,7 +495,6 @@ mod tests {
 
     #[test]
     fn bitflip_detected_by_crc() {
-        let _q = crate::faultinject::quiesced();
         let path = tmp("flip.jsonl");
         let j = Journal::open(&path).unwrap();
         j.record("k1", sample_sides()).unwrap();
@@ -515,7 +511,6 @@ mod tests {
         // A CRC-corrupt record in the *middle* of the journal must drop
         // only itself: every well-framed record after it (and before it)
         // still loads, and the drop is counted, never silent.
-        let _q = crate::faultinject::quiesced();
         let path = tmp("midflip.jsonl");
         let j = Journal::open(&path).unwrap();
         j.record("k1", sample_sides()).unwrap();
@@ -540,7 +535,6 @@ mod tests {
 
     #[test]
     fn append_after_corruption_keeps_working() {
-        let _q = crate::faultinject::quiesced();
         let path = tmp("heal.jsonl");
         let j = Journal::open(&path).unwrap();
         j.record("k1", sample_sides()).unwrap();
@@ -559,7 +553,6 @@ mod tests {
 
     #[test]
     fn compact_drops_stale_lines_and_preserves_live_set() {
-        let _q = crate::faultinject::quiesced();
         let path = tmp("compact.jsonl");
         let j = Journal::open(&path).unwrap();
         for i in 0..4 {
@@ -591,7 +584,6 @@ mod tests {
     fn compact_is_deterministic() {
         let pa = tmp("compact_det_a.jsonl");
         let pb = tmp("compact_det_b.jsonl");
-        let _q = crate::faultinject::quiesced();
         for (path, order) in [(&pa, [0usize, 1, 2]), (&pb, [2, 0, 1])] {
             let j = Journal::open(path).unwrap();
             for i in order {
@@ -611,7 +603,6 @@ mod tests {
         // A compaction killed before its atomic rename leaves the journal
         // intact plus a stray temp file; open must clean it up and load
         // the original data untouched.
-        let _q = crate::faultinject::quiesced();
         let path = tmp("stray.jsonl");
         let j = Journal::open(&path).unwrap();
         j.record("k1", sample_sides()).unwrap();
@@ -625,7 +616,6 @@ mod tests {
 
     #[test]
     fn fsync_policy_roundtrips() {
-        let _q = crate::faultinject::quiesced();
         let path = tmp("fsync.jsonl");
         let j = Journal::open_with(&path, FsyncPolicy::Fsync).unwrap();
         j.record("k1", sample_sides()).unwrap();
@@ -639,8 +629,6 @@ mod tests {
 
     #[test]
     fn injected_append_fault_is_typed_and_counted() {
-        // No quiesced() guard here: with_plan takes the same non-reentrant
-        // test lock, and it serializes this test against the others itself.
         let path = tmp("append_fault.jsonl");
         let j = Journal::open(&path).unwrap();
         crate::faultinject::with_plan("journal-fail:1", || {
@@ -749,7 +737,6 @@ mod tests {
                 victim_seed in 0u64..1_000_000_000,
                 cut_seed in 0u64..1_000_000_000,
             ) {
-                let _q = crate::faultinject::quiesced();
                 let (_dir, paths) = write_shards("trunc", n, shards);
                 let victim = (victim_seed % shards as u64) as usize;
                 let bytes = std::fs::read(&paths[victim]).unwrap();
@@ -806,7 +793,6 @@ mod tests {
                 victim_seed in 0u64..1_000_000_000,
                 offset_seed in 0u64..1_000_000_000,
             ) {
-                let _q = crate::faultinject::quiesced();
                 let (_dir, paths) = write_shards("flip", n, shards);
                 let victim = (victim_seed % shards as u64) as usize;
                 let len = std::fs::metadata(&paths[victim]).unwrap().len();

@@ -70,6 +70,8 @@ where
     let done = Mutex::new(Vec::with_capacity(n));
     let failed: Mutex<Option<(usize, String)>> = Mutex::new(None);
     let workers = workers_for(n);
+    // Workers run in the caller's execution: they take over its fault plan.
+    let plan = faultinject::current();
     std::thread::scope(|scope| {
         for _ in 0..workers {
             let next = &next;
@@ -77,23 +79,26 @@ where
             let done = &done;
             let failed = &failed;
             let f = &f;
-            scope.spawn(move || loop {
-                if abort.load(Ordering::Relaxed) {
-                    return;
-                }
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    return;
-                }
-                match catch_unwind(AssertUnwindSafe(|| f(i))) {
-                    Ok(v) => lock(done).push((i, v)),
-                    Err(payload) => {
-                        // First failure wins; everyone else drains.
-                        abort.store(true, Ordering::Relaxed);
-                        lock(failed).get_or_insert((i, panic_payload(payload.as_ref())));
+            let plan = plan.clone();
+            scope.spawn(move || {
+                faultinject::scoped(plan, || loop {
+                    if abort.load(Ordering::Relaxed) {
                         return;
                     }
-                }
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        return;
+                    }
+                    match catch_unwind(AssertUnwindSafe(|| f(i))) {
+                        Ok(v) => lock(done).push((i, v)),
+                        Err(payload) => {
+                            // First failure wins; everyone else drains.
+                            abort.store(true, Ordering::Relaxed);
+                            lock(failed).get_or_insert((i, panic_payload(payload.as_ref())));
+                            return;
+                        }
+                    }
+                })
             });
         }
     });
@@ -172,7 +177,7 @@ impl<T> IsolatedSweep<T> {
 /// reports every item's individual outcome in index order.
 ///
 /// Fault injection: each attempt first runs the
-/// [`faultinject`](crate::faultinject) cell hook, so an installed
+/// [`faultinject`](crate::faultinject) cell hook, so a
 /// `cell-panic:<i>:<times>` plan exercises exactly the retry path and a
 /// `cell-slow:<i>:<ms>` plan exercises the watchdog.
 pub fn map_indexed_isolated<T, F>(n: usize, policy: &CellPolicy, f: F) -> IsolatedSweep<T>
@@ -250,6 +255,7 @@ mod tests {
     use super::*;
     use std::collections::HashSet;
     use std::sync::atomic::AtomicUsize;
+    use std::sync::Barrier;
 
     #[test]
     fn results_in_index_order() {
@@ -376,7 +382,6 @@ mod tests {
 
     #[test]
     fn isolated_completes_around_persistent_failure() {
-        let _q = crate::faultinject::quiesced();
         let sweep = map_indexed_isolated(16, &CellPolicy::default(), |i| {
             if i == 5 {
                 panic!("persistent failure");
@@ -402,7 +407,6 @@ mod tests {
 
     #[test]
     fn isolated_retry_recovers_transient_failure() {
-        let _q = crate::faultinject::quiesced();
         let tries = AtomicUsize::new(0);
         let sweep = map_indexed_isolated(8, &CellPolicy::default(), |i| {
             if i == 2 && tries.fetch_add(1, Ordering::SeqCst) == 0 {
@@ -417,7 +421,6 @@ mod tests {
 
     #[test]
     fn isolated_watchdog_flags_slow_cells() {
-        let _q = crate::faultinject::quiesced();
         let policy = CellPolicy {
             deadline: Some(Duration::from_millis(20)),
             ..CellPolicy::default()
@@ -439,7 +442,6 @@ mod tests {
 
     #[test]
     fn isolated_typed_errors_are_not_retried() {
-        let _q = crate::faultinject::quiesced();
         let tries = AtomicUsize::new(0);
         let sweep = map_indexed_isolated(4, &CellPolicy::default(), |i| {
             if i == 0 {
@@ -469,6 +471,31 @@ mod tests {
             let sweep = map_indexed_isolated(12, &CellPolicy::default(), Ok);
             assert!(sweep.failures().is_empty());
             assert_eq!(sweep.retries, 1, "one injected transient panic");
+        });
+    }
+
+    #[test]
+    fn a_plan_in_one_thread_never_reaches_another_threads_sweep() {
+        // Thread A holds a plan that poisons cell 0 open while thread B
+        // runs a clean sweep: B must see none of A's faults, and A's own
+        // sweep afterwards must see them all.
+        let (installed, swept) = (Barrier::new(2), Barrier::new(2));
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                crate::faultinject::with_plan("cell-panic:0:100", || {
+                    installed.wait();
+                    swept.wait();
+                    let own = map_indexed_isolated(8, &CellPolicy::default(), Ok);
+                    assert_eq!(own.failures().len(), 1, "the plan's own sweep is faulted");
+                });
+            });
+            s.spawn(|| {
+                installed.wait();
+                let clean = map_indexed_isolated(8, &CellPolicy::default(), Ok);
+                swept.wait();
+                assert_eq!(clean.retries, 0, "another thread's plan leaked in");
+                assert!(clean.results.iter().all(Result::is_ok));
+            });
         });
     }
 

@@ -855,7 +855,6 @@ mod tests {
 
     #[test]
     fn single_matches_plain_driver_bitwise() {
-        let _q = crate::faultinject::quiesced();
         let opts = quick();
         let plain = crate::single::run_single_program(&opts, &TraceStore::new());
         let res =
@@ -873,7 +872,6 @@ mod tests {
 
     #[test]
     fn multi_matches_plain_driver_bitwise() {
-        let _q = crate::faultinject::quiesced();
         let opts = StudyOptions::quick();
         let w = paper_workloads();
         let plain = crate::multi::run_multi_program(&opts, &TraceStore::new(), &w);
@@ -894,7 +892,6 @@ mod tests {
 
     #[test]
     fn cross_matches_plain_driver_bitwise() {
-        let _q = crate::faultinject::quiesced();
         let opts = quick();
         let plain = crate::cross::run_cross_product(&opts, &TraceStore::new());
         let res =
@@ -910,7 +907,6 @@ mod tests {
 
     #[test]
     fn journal_resume_skips_recompute() {
-        let _q = crate::faultinject::quiesced();
         let opts = quick();
         let path = tmp("resume_unit.jsonl");
         let ropts = ResilienceOptions::default().with_journal(&path);

@@ -114,13 +114,11 @@ impl DriftSentinel {
         // Only a checked cell pays for cloning the job specs.
         let checked_jobs = check.then(|| jobs.clone());
         let mut fast = simulate(cfg, jobs);
-        if faultinject::active() {
-            for &k in kernels {
-                if faultinject::drift_hook(k.name()) {
-                    // Model a miscounting fast path: one phantom L1 miss.
-                    fast.jobs[0].counters.l1d_miss += 1;
-                    fast.total.l1d_miss += 1;
-                }
+        for &k in kernels {
+            if faultinject::drift_hook(k.name()) {
+                // Model a miscounting fast path: one phantom L1 miss.
+                fast.jobs[0].counters.l1d_miss += 1;
+                fast.total.l1d_miss += 1;
             }
         }
         let Some(jobs) = checked_jobs else {
@@ -357,7 +355,6 @@ mod tests {
 
     #[test]
     fn clean_check_passes_and_counts() {
-        let _q = crate::faultinject::quiesced();
         let s = DriftSentinel::new();
         let (cfg, jobs) = job();
         let out = s.simulate_checked(&[KernelId::Ep], "CMT", true, &cfg, jobs);
@@ -393,7 +390,6 @@ mod tests {
 
     #[test]
     fn unchecked_unquarantined_uses_fast_path() {
-        let _q = crate::faultinject::quiesced();
         let s = DriftSentinel::new();
         let (cfg, jobs) = job();
         let out = s.simulate_checked(&[KernelId::Ep], "CMT", false, &cfg, jobs);

@@ -335,7 +335,6 @@ mod tests {
 
     #[test]
     fn memoizes_by_key() {
-        let _q = crate::faultinject::quiesced();
         let store = TraceStore::new();
         let key = ep_key();
         let a = store.get(key);
@@ -346,7 +345,6 @@ mod tests {
 
     #[test]
     fn concurrent_gets_build_once() {
-        let _q = crate::faultinject::quiesced();
         let store = TraceStore::new();
         let key = ep_key();
         let traces: Vec<Arc<ProgramTrace>> = std::thread::scope(|scope| {
@@ -364,7 +362,6 @@ mod tests {
 
     #[test]
     fn distinct_thread_counts_distinct_traces() {
-        let _q = crate::faultinject::quiesced();
         let store = TraceStore::new();
         let mk = |n| TraceKey {
             kernel: KernelId::Ep,
@@ -396,12 +393,18 @@ mod tests {
     #[test]
     fn concurrent_waiters_survive_first_attempt_panic() {
         // Exactly one waiter retries; every concurrent caller gets the
-        // trace; total builds = 1 failed + 1 successful.
+        // trace; total builds = 1 failed + 1 successful. The waiters are
+        // this test's own threads, so they take over its plan.
         faultinject::with_plan("build-panic:ep:1", || {
             let store = TraceStore::new();
             let key = ep_key();
             let results: Vec<StudyResult<Arc<ProgramTrace>>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..8).map(|_| scope.spawn(|| store.try_get(key))).collect();
+                let handles: Vec<_> = (0..8)
+                    .map(|_| {
+                        let plan = faultinject::current();
+                        scope.spawn(|| faultinject::scoped(plan, || store.try_get(key)))
+                    })
+                    .collect();
                 handles.into_iter().map(|h| h.join().unwrap()).collect()
             });
             for r in &results {

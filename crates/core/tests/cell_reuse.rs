@@ -35,7 +35,6 @@ fn fig4_then_fig5(opts: &StudyOptions, stores: [&TraceStore; 2]) -> ([String; 4]
 
 #[test]
 fn cross_product_reuses_the_multi_program_cells() {
-    let _q = paxsim_core::faultinject::quiesced();
     paxsim_obs::set_enabled(true);
     // The paper's trials and jitter; a cross product over CG, EP and FT
     // covers all three Figure 4 workloads plus three pairs it lacks.

@@ -7,10 +7,10 @@
 //! resilient driver, and assert both the recovery bookkeeping *and* that
 //! every unaffected cell is bit-identical to the clean run.
 //!
-//! Fault plans are process-global, so clean baselines are computed under
-//! [`faultinject::quiesced`] and injections under
-//! [`faultinject::with_plan`]; the two share a lock, which serializes the
-//! fault-sensitive sections of this binary.
+//! A fault plan belongs to the test thread that installs it with
+//! [`faultinject::with_plan`] (and to the sweep workers that thread
+//! starts), so clean baselines run outside any plan, next to faulted
+//! tests, with no lock between them.
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -36,7 +36,6 @@ fn tmp(name: &str) -> PathBuf {
 
 /// The plain (non-resilient) driver's study, computed with no plan live.
 fn clean_single(opts: &StudyOptions) -> SingleStudy {
-    let _q = faultinject::quiesced();
     paxsim_core::single::run_single_program(opts, &TraceStore::new())
 }
 
@@ -177,7 +176,6 @@ fn truncated_journal_tail_is_detected_and_recomputed() {
     let opts = quick2();
     let path = tmp("truncated.jsonl");
     let ropts = ResilienceOptions::default().with_journal(&path);
-    let _q = faultinject::quiesced();
     let first = run_single_program_resilient(&opts, &TraceStore::new(), &ropts).unwrap();
     assert!(first.resilience.is_clean());
 
@@ -199,7 +197,6 @@ fn bit_flipped_journal_record_fails_crc_and_is_recomputed() {
     let opts = quick2();
     let path = tmp("bitflip.jsonl");
     let ropts = ResilienceOptions::default().with_journal(&path);
-    let _q = faultinject::quiesced();
     let first = run_single_program_resilient(&opts, &TraceStore::new(), &ropts).unwrap();
     assert!(first.resilience.is_clean());
 
@@ -290,24 +287,25 @@ fn watchdog_flags_a_runaway_cell_and_the_sweep_completes() {
 // Environment-driven injection (the ci.sh pass).
 // ---------------------------------------------------------------------------
 
-/// Run by `ci.sh` alone in its own process with
-/// `PAXSIM_FAULTS="cell-panic:1:1,build-panic:ep:1"`: both faults are
-/// single-use, so a resilient study must absorb them (retry the cell,
-/// rebuild the trace) and still come out clean — and a second run, with
-/// the budgets spent, must reproduce it bit-identically. A no-op when the
-/// variable is unset.
+/// Run by `ci.sh` with `PAXSIM_FAULTS="cell-panic:1:1,build-panic:ep:1"`,
+/// which this test alone installs: both faults are single-use, so a
+/// resilient study must absorb them (retry the cell, rebuild the trace)
+/// and still come out clean — and a second run, with the budgets spent,
+/// must reproduce it bit-identically. A no-op when the variable is unset.
 #[test]
 fn env_fault_plan_is_absorbed_cleanly() {
-    if !faultinject::init_from_env() {
+    let Some(plan) = faultinject::FaultPlan::from_env() else {
         return;
-    }
-    let opts = quick2();
-    let first =
-        run_single_program_resilient(&opts, &TraceStore::new(), &Default::default()).unwrap();
-    assert!(first.resilience.is_clean(), "{:?}", first.resilience);
-    let second =
-        run_single_program_resilient(&opts, &TraceStore::new(), &Default::default()).unwrap();
-    assert!(second.resilience.is_clean(), "{:?}", second.resilience);
-    assert_study_eq(&first.study, &second.study);
-    assert_eq!(report_bytes(&first.study), report_bytes(&second.study));
+    };
+    faultinject::scoped(Some(plan), || {
+        let opts = quick2();
+        let first =
+            run_single_program_resilient(&opts, &TraceStore::new(), &Default::default()).unwrap();
+        assert!(first.resilience.is_clean(), "{:?}", first.resilience);
+        let second =
+            run_single_program_resilient(&opts, &TraceStore::new(), &Default::default()).unwrap();
+        assert!(second.resilience.is_clean(), "{:?}", second.resilience);
+        assert_study_eq(&first.study, &second.study);
+        assert_eq!(report_bytes(&first.study), report_bytes(&second.study));
+    });
 }

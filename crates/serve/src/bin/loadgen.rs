@@ -35,12 +35,12 @@
 //! records the winner, search provenance, and both wall times in
 //! `BENCH_serve.json`.
 //!
-//! With `--chaos` a third phase soaks the server under an injected fault
-//! plan — connection kills every ~97 dispatched frames plus worker
-//! panics on ~1% of jobs — using a **self-healing client**: every
-//! dropped connection is reopened and the request resent (safe: the
-//! content hash is the idempotency key, so a resend dedupes against the
-//! cache and single-flight table). The phase asserts zero hung requests
+//! With `--chaos` a third phase soaks a second server on the same
+//! service, started under an injected fault plan — connection kills
+//! every ~97 dispatched frames plus worker panics on ~1% of jobs — using
+//! a **self-healing client**: every dropped connection is reopened and
+//! the request resent (safe: the content hash is the idempotency key, so
+//! a resend dedupes against the cache and single-flight table). The phase asserts zero hung requests
 //! (every send gets an answer within a read timeout), every request
 //! eventually answered `ok`, and the conservation law intact *by the
 //! server's own count* (`Σ shard hits + Σ shard misses ==
@@ -62,6 +62,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use paxsim_core::faultinject::{self, FaultPlan};
 use paxsim_serve::{ServeConfig, Server, Service};
 use serde::Value;
 
@@ -340,11 +341,6 @@ fn main() {
         connections = connections.min(8);
         requests = requests.min(6_000);
     }
-    // Cold and hot phases measure the clean server; the guard keeps any
-    // concurrent fault plan out. It must drop before the chaos phase —
-    // `with_plan` takes the same non-reentrant lock.
-    let quiesced = paxsim_core::faultinject::quiesced();
-
     let cache_dir: PathBuf =
         std::env::temp_dir().join(format!("paxsim_loadgen_cache_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&cache_dir);
@@ -493,8 +489,11 @@ fn main() {
          over {tune_rounds} rounds ({tune_spent} budget), cached replay {tune_replay_ms:.3} ms"
     );
 
-    // Phase 3 (optional): chaos soak under an injected fault plan.
-    drop(quiesced);
+    // Phase 3 (optional): chaos soak under an injected fault plan. A
+    // plan reaches only the threads started inside its scope, so the
+    // soak runs against a second server on the same service, started
+    // there; the conservation law below still spans every phase.
+    let mut chaos_server = None;
     let chaos_report = if chaos {
         let chaos_requests = if quick { 1_500 } else { 12_000 };
         let t0 = Instant::now();
@@ -504,31 +503,20 @@ fn main() {
         // the soak), so the panic rate lands near 1% of requests overall.
         // Injected worker panics are caught and healed by design; keep
         // their backtraces out of the log so real failures stand out.
-        let prev_hook = std::sync::Arc::new(std::panic::take_hook());
-        let filter_prev = prev_hook.clone();
-        std::panic::set_hook(Box::new(move |info| {
-            let injected = info
-                .payload()
-                .downcast_ref::<&str>()
-                .map(|s| s.contains("injected"))
-                .or_else(|| {
-                    info.payload()
-                        .downcast_ref::<String>()
-                        .map(|s| s.contains("injected"))
-                })
-                .unwrap_or(false);
-            if !injected {
-                filter_prev(info);
-            }
-        }));
-        let resends = paxsim_core::faultinject::with_plan(
-            "serve-conn-kill:97:1000000, serve-worker-panic:7:1000000",
-            || chaos_phase(&addr, &lines, connections.min(8), chaos_requests),
+        faultinject::hide_injected_panics();
+        let plan = Arc::new(
+            FaultPlan::parse("serve-conn-kill:97:1000000, serve-worker-panic:7:1000000")
+                .expect("chaos plan parses"),
         );
-        drop(std::panic::take_hook());
-        drop(prev_hook);
+        let resends = faultinject::scoped(Some(plan.clone()), || {
+            let server =
+                Server::start(service.clone(), Some("127.0.0.1:0"), None).expect("start server");
+            let addr = server.tcp_addr().expect("tcp bound").to_string();
+            chaos_server = Some(server);
+            chaos_phase(&addr, &lines, connections.min(8), chaos_requests)
+        });
         let wall = t0.elapsed().as_secs_f64();
-        let (worker_panics, conn_kills, _partial) = paxsim_serve::chaos::fired();
+        let (worker_panics, conn_kills, _partial) = plan.fired();
         eprintln!(
             "loadgen: chaos {chaos_requests} requests in {wall:.2} s — {conn_kills} connections \
              killed, {worker_panics} worker panics injected, {resends} client heals/resends, \
@@ -589,8 +577,14 @@ fn main() {
     );
 
     // Graceful drain: every reply flushed, every thread joined.
-    let drained = server.shutdown(Duration::from_secs(30));
-    assert!(drained, "server must drain cleanly inside the grace period");
+    let mut drained = server.shutdown(Duration::from_secs(30));
+    if let Some(chaos_server) = chaos_server {
+        drained &= chaos_server.shutdown(Duration::from_secs(30));
+    }
+    assert!(
+        drained,
+        "servers must drain cleanly inside the grace period"
+    );
     eprintln!("loadgen: drained cleanly");
     let _ = std::fs::remove_dir_all(&cache_dir);
 

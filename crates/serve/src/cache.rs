@@ -599,7 +599,6 @@ mod tests {
 
     #[test]
     fn miss_put_hit_roundtrip() {
-        let _quiet = paxsim_core::faultinject::quiesced();
         let dir = tmp("roundtrip");
         let c = open(&dir, 8, 4);
         let h = ConfigHash(0xabc);
@@ -664,7 +663,6 @@ mod tests {
 
     #[test]
     fn puts_and_gets_route_to_the_same_shard() {
-        let _quiet = paxsim_core::faultinject::quiesced();
         let dir = tmp("routing");
         let c = open(&dir, 64, 8);
         for raw in 0..64u64 {
@@ -691,7 +689,6 @@ mod tests {
 
     #[test]
     fn disk_tier_survives_reopen_and_promotes() {
-        let _quiet = paxsim_core::faultinject::quiesced();
         let dir = tmp("reopen");
         let h = ConfigHash(0x11);
         {
@@ -710,7 +707,6 @@ mod tests {
 
     #[test]
     fn legacy_journal_migrates_into_shards() {
-        let _quiet = paxsim_core::faultinject::quiesced();
         let dir = tmp("migrate");
         // Write a legacy-format single-file cache by hand.
         let legacy = Journal::open(&dir.join(JOURNAL_FILE)).unwrap();
@@ -742,7 +738,6 @@ mod tests {
 
     #[test]
     fn single_shard_lru_evicts_coldest_but_disk_retains() {
-        let _quiet = paxsim_core::faultinject::quiesced();
         let dir = tmp("evict");
         let c = open(&dir, 2, 1);
         for i in 0..3u64 {
@@ -757,7 +752,6 @@ mod tests {
 
     #[test]
     fn lru_touch_on_get_protects_hot_keys() {
-        let _quiet = paxsim_core::faultinject::quiesced();
         let dir = tmp("touch");
         let c = open(&dir, 2, 1);
         c.put(ConfigHash(0), sides(0)).unwrap();
@@ -771,7 +765,6 @@ mod tests {
 
     #[test]
     fn get_refreshes_recency() {
-        let _quiet = paxsim_core::faultinject::quiesced();
         // Regression (LRU recency audit): `get` must move the key to the
         // hot end of `order`, otherwise a steadily re-read key gets
         // evicted as if it were cold.
@@ -799,7 +792,6 @@ mod tests {
 
     #[test]
     fn double_put_then_evict() {
-        let _quiet = paxsim_core::faultinject::quiesced();
         // Regression (LRU reinsert audit): re-`put` of a resident key must
         // not leave a stale duplicate in `order` — the next eviction would
         // pop the duplicate and remove the wrong key (or nothing), letting
@@ -833,7 +825,6 @@ mod tests {
 
     #[test]
     fn peek_serves_both_tiers_without_stats_or_recency() {
-        let _quiet = paxsim_core::faultinject::quiesced();
         let dir = tmp("peek");
         let c = open(&dir, 2, 1);
         c.put(ConfigHash(0), sides(0)).unwrap();
@@ -858,7 +849,6 @@ mod tests {
 
     #[test]
     fn corrupt_shard_record_is_dropped_not_served() {
-        let _quiet = paxsim_core::faultinject::quiesced();
         let dir = tmp("corrupt");
         let h = ConfigHash(0xdead);
         let shard = shard_index(h, 4);
@@ -904,7 +894,6 @@ mod tests {
 
     #[test]
     fn compact_reclaims_stale_shard_lines() {
-        let _quiet = paxsim_core::faultinject::quiesced();
         let dir = tmp("compact");
         let c = open(&dir, 8, 2);
         let h = ConfigHash(0x5);
@@ -925,7 +914,6 @@ mod tests {
 
     #[test]
     fn conservation_holds_across_shards() {
-        let _quiet = paxsim_core::faultinject::quiesced();
         let dir = tmp("conserve");
         let c = open(&dir, 32, 8);
         let mut gets = 0u64;

@@ -1,11 +1,11 @@
 //! Serve-layer chaos hooks: the bridge between the reactor/worker hot
 //! paths and [`paxsim_core::faultinject`].
 //!
-//! Each hook is one relaxed atomic increment plus the fault harness's
-//! one relaxed load when no plan is installed — the production cost is
-//! negligible. When a plan *is* live (`PAXSIM_FAULTS` or
-//! [`with_plan`](paxsim_core::faultinject::with_plan)), the hooks fire
-//! deterministic faults at their choke points:
+//! Each hook reads the calling thread's fault plan; with none installed
+//! that read is the whole cost. Under a plan (`PAXSIM_FAULTS` in the
+//! daemon, or [`with_plan`](paxsim_core::faultinject::with_plan) around a
+//! [`Server`](crate::Server) start) the hooks fire deterministic faults at
+//! their choke points:
 //!
 //! | hook | fault kind | effect |
 //! |---|---|---|
@@ -16,40 +16,22 @@
 //! | (in `serve::cache`) | `serve-shard-slow:<ms>` | stalls a shard lookup |
 //! | (in `serve::service`) | `serve-batch-panic` | panics the batch-leader executor |
 //!
-//! The per-process frame/job counters feed the `<period>` matchers, so a
-//! "~1% fault rate" plan is just `serve-worker-panic:97:N` — deterministic,
-//! replayable, and countable. Every fired fault is also counted here (and
-//! mirrored into obs) so soak tests can assert *how much* chaos actually
-//! happened, not just that the run survived it.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! The plan counts worker jobs and dispatched frames from its own start
+//! for the `<period>` matchers, so a "~1% fault rate" plan is just
+//! `serve-worker-panic:97:N` — deterministic, replayable, and countable.
+//! The plan also counts every fault it fired
+//! ([`FaultPlan::fired`](paxsim_core::faultinject::FaultPlan::fired)),
+//! so soak tests can assert *how much* chaos actually happened, not just
+//! that the run survived it; the hooks mirror the counts into obs.
 
 use paxsim_core::faultinject;
-
-static JOBS: AtomicU64 = AtomicU64::new(0);
-static FRAMES: AtomicU64 = AtomicU64::new(0);
-static WORKER_PANICS: AtomicU64 = AtomicU64::new(0);
-static CONN_KILLS: AtomicU64 = AtomicU64::new(0);
-static PARTIAL_WRITES: AtomicU64 = AtomicU64::new(0);
-
-/// Fired chaos-fault totals for this process:
-/// `(worker_panics, conn_kills, partial_writes)`.
-pub fn fired() -> (u64, u64, u64) {
-    (
-        WORKER_PANICS.load(Ordering::Relaxed),
-        CONN_KILLS.load(Ordering::Relaxed),
-        PARTIAL_WRITES.load(Ordering::Relaxed),
-    )
-}
 
 /// Worker hook: called at the top of every pool-dispatched job, inside
 /// the worker's `catch_unwind` boundary. Panics when a
 /// `serve-worker-panic:<period>` fault matches this job number.
 #[inline]
 pub fn worker_job() {
-    let n = JOBS.fetch_add(1, Ordering::Relaxed) + 1;
-    if faultinject::serve_worker_panic(n) {
-        WORKER_PANICS.fetch_add(1, Ordering::Relaxed);
+    if let Some(n) = faultinject::serve_worker_panic() {
         static OBS: paxsim_obs::LazyCounter =
             paxsim_obs::LazyCounter::new("serve.chaos.worker_panics");
         OBS.inc();
@@ -63,9 +45,7 @@ pub fn worker_job() {
 /// partition mid-request).
 #[inline]
 pub fn conn_kill() -> bool {
-    let n = FRAMES.fetch_add(1, Ordering::Relaxed) + 1;
-    if faultinject::serve_conn_kill(n) {
-        CONN_KILLS.fetch_add(1, Ordering::Relaxed);
+    if faultinject::serve_conn_kill() {
         static OBS: paxsim_obs::LazyCounter =
             paxsim_obs::LazyCounter::new("serve.chaos.conn_kills");
         OBS.inc();
@@ -81,7 +61,6 @@ pub fn conn_kill() -> bool {
 #[inline]
 pub fn write_cap() -> Option<usize> {
     if faultinject::serve_partial_write() {
-        PARTIAL_WRITES.fetch_add(1, Ordering::Relaxed);
         static OBS: paxsim_obs::LazyCounter =
             paxsim_obs::LazyCounter::new("serve.chaos.partial_writes");
         OBS.inc();
@@ -93,26 +72,26 @@ pub fn write_cap() -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use paxsim_core::faultinject::FaultPlan;
+    use std::sync::Arc;
 
     #[test]
     fn hooks_are_quiet_without_a_plan() {
-        let _quiet = faultinject::quiesced();
-        let before = fired();
         worker_job();
         assert!(!conn_kill());
         assert_eq!(write_cap(), None);
-        assert_eq!(fired(), before, "no plan, no fired faults");
     }
 
     #[test]
     fn worker_panic_fires_on_period_and_is_counted() {
-        faultinject::with_plan("serve-worker-panic:1:1", || {
-            let (panics0, _, _) = fired();
+        let plan = Arc::new(FaultPlan::parse("serve-worker-panic:1:1").unwrap());
+        faultinject::scoped(Some(plan.clone()), || {
             let r = std::panic::catch_unwind(worker_job);
             assert!(r.is_err(), "period 1 must fire on the next job");
-            assert_eq!(fired().0, panics0 + 1);
+            assert_eq!(plan.fired().0, 1);
             worker_job(); // budget spent: quiet
         });
+        assert_eq!(plan.fired(), (1, 0, 0));
     }
 
     #[test]

@@ -11,15 +11,16 @@
 //! Listens for newline-delimited JSON requests (protocol in DESIGN.md
 //! §10) until `SIGTERM`/`SIGINT`, then drains gracefully: in-flight work
 //! finishes, new computations are refused, and the process exits 0 once
-//! quiet. Fault injection via `PAXSIM_FAULTS` is honored exactly as in
-//! the sweep drivers — an injected cell panic is retried, never fatal to
-//! the daemon.
+//! quiet. A `PAXSIM_FAULTS` plan applies to the whole daemon, as it does
+//! to a sweep — an injected cell panic is retried, never fatal to the
+//! daemon.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use paxsim_core::faultinject::{self, FaultPlan};
 use paxsim_serve::{ServeConfig, Server, Service};
 
 static TERM: AtomicBool = AtomicBool::new(false);
@@ -125,28 +126,16 @@ fn parse_args() -> Args {
 
 fn main() {
     let args = parse_args();
-    if paxsim_core::faultinject::init_from_env() {
+    let plan = FaultPlan::from_env();
+    if plan.is_some() {
         eprintln!("paxsim-serve: PAXSIM_FAULTS plan active");
-        // Injected faults are absorbed by design (worker retry, batch
-        // poison recovery, degraded puts); keep their backtraces out of
-        // the log so a *real* panic stands out.
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let injected = info
-                .payload()
-                .downcast_ref::<&str>()
-                .map(|s| s.contains("injected"))
-                .or_else(|| {
-                    info.payload()
-                        .downcast_ref::<String>()
-                        .map(|s| s.contains("injected"))
-                })
-                .unwrap_or(false);
-            if !injected {
-                prev(info);
-            }
-        }));
+        faultinject::hide_injected_panics();
     }
+    // The server's reactors and workers take the plan over from here.
+    faultinject::scoped(plan, || serve(args));
+}
+
+fn serve(args: Args) {
     install_term_handler();
     let service = match Service::open(args.cfg.clone()) {
         Ok(s) => Arc::new(s),

@@ -85,6 +85,8 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use paxsim_core::faultinject;
+
 use crate::frame::FrameBuffer;
 use crate::protocol;
 use crate::service::Service;
@@ -438,6 +440,9 @@ impl Server {
         let stop = Arc::new(AtomicBool::new(false));
         let active = Arc::new(AtomicUsize::new(0));
         let pool = WorkerPool::new();
+        // Reactors and workers serve the caller's execution: they take
+        // over its fault plan.
+        let plan = faultinject::current();
         let mut reactors = Vec::new();
         let mut unsettled = Vec::new();
         let mut mailboxes = Vec::new();
@@ -446,34 +451,37 @@ impl Server {
             unsettled.push(counters.clone());
             let completions = Completions::new()?;
             mailboxes.push(completions.clone());
-            let (drain, stop, active, pool, service) = (
+            let (drain, stop, active, pool, service, plan) = (
                 drain.clone(),
                 stop.clone(),
                 active.clone(),
                 pool.clone(),
                 service.clone(),
+                plan.clone(),
             );
-            reactors.push(std::thread::spawn(move || match listener {
-                ReactorKind::Tcp(l) => reactor_loop(
-                    l,
-                    &service,
-                    &drain,
-                    &stop,
-                    &active,
-                    &counters,
-                    &pool,
-                    &completions,
-                ),
-                ReactorKind::Unix(l) => reactor_loop(
-                    l,
-                    &service,
-                    &drain,
-                    &stop,
-                    &active,
-                    &counters,
-                    &pool,
-                    &completions,
-                ),
+            reactors.push(std::thread::spawn(move || {
+                faultinject::scoped(plan, || match listener {
+                    ReactorKind::Tcp(l) => reactor_loop(
+                        l,
+                        &service,
+                        &drain,
+                        &stop,
+                        &active,
+                        &counters,
+                        &pool,
+                        &completions,
+                    ),
+                    ReactorKind::Unix(l) => reactor_loop(
+                        l,
+                        &service,
+                        &drain,
+                        &stop,
+                        &active,
+                        &counters,
+                        &pool,
+                        &completions,
+                    ),
+                })
             }));
             Ok(())
         };
@@ -495,8 +503,11 @@ impl Server {
         }
         let workers = (0..service.config().effective_workers())
             .map(|_| {
-                let (pool, service, active) = (pool.clone(), service.clone(), active.clone());
-                std::thread::spawn(move || pool.worker_loop(&service, &active))
+                let (pool, service, active, plan) =
+                    (pool.clone(), service.clone(), active.clone(), plan.clone());
+                std::thread::spawn(move || {
+                    faultinject::scoped(plan, || pool.worker_loop(&service, &active))
+                })
             })
             .collect();
         Ok(Server {

@@ -1731,7 +1731,6 @@ mod tests {
 
     #[test]
     fn miss_then_hit_is_byte_identical_with_no_new_engine_work() {
-        let _quiet = paxsim_core::faultinject::quiesced();
         let s = service("hit");
         let cold = s.handle_line(EP_CMP);
         assert!(cold.contains("\"ok\":true"), "{cold}");
@@ -1748,7 +1747,6 @@ mod tests {
     fn cold_grid_keeps_no_two_job_cells_in_the_trace_store() {
         // Cell reuse belongs to the batch study drivers: a daemon's trace
         // store must not grow with every point it serves.
-        let _quiet = paxsim_core::faultinject::quiesced();
         let s = service("cold_grid_cells");
         for kernel in ["ep", "is"] {
             for config in ["SMT", "CMP", "CMT"] {
@@ -1766,7 +1764,6 @@ mod tests {
 
     #[test]
     fn speedup_agrees_with_the_single_program_driver() {
-        let _quiet = paxsim_core::faultinject::quiesced();
         let s = service("parity");
         let reply = s.handle_line(EP_CMP);
         let v = serde_json::parse(&reply).unwrap();
@@ -1785,7 +1782,6 @@ mod tests {
 
     #[test]
     fn serial_request_serves_unit_speedup_and_seeds_the_baseline() {
-        let _quiet = paxsim_core::faultinject::quiesced();
         let s = service("serial");
         let reply = s.handle_line(r#"{"op":"simulate","kernel":"ep","config":"Serial"}"#);
         let v = serde_json::parse(&reply).unwrap();
@@ -1802,7 +1798,6 @@ mod tests {
 
     #[test]
     fn draining_refuses_misses_but_serves_hits_and_stats() {
-        let _quiet = paxsim_core::faultinject::quiesced();
         let s = service("drain");
         let cold = s.handle_line(EP_CMP);
         s.set_draining();
@@ -1981,7 +1976,6 @@ mod tests {
         });
         // The same request against a healthy service is byte-identical
         // modulo cache state — assert on a second, un-faulted service.
-        let _quiet = paxsim_core::faultinject::quiesced();
         let slow_dir = std::env::temp_dir()
             .join("paxsim_serve_service_tests")
             .join("shard_slow");
@@ -2011,7 +2005,6 @@ mod tests {
 
     #[test]
     fn compatible_concurrent_misses_merge_into_one_batch() {
-        let _quiet = paxsim_core::faultinject::quiesced();
         let s = Service::open(ServeConfig {
             cache_dir: tmp("merge"),
             batch_window_ms: 120,
@@ -2057,7 +2050,6 @@ mod tests {
 
     #[test]
     fn incompatible_requests_never_merge() {
-        let _quiet = paxsim_core::faultinject::quiesced();
         let s = Service::open(ServeConfig {
             cache_dir: tmp("nomerge"),
             batch_window_ms: 60,
@@ -2089,7 +2081,6 @@ mod tests {
         // same request set served through a wide-open gather window
         // (merged sweep) and through a zero window (sequential batches of
         // one) must produce byte-identical reply lines.
-        let _quiet = paxsim_core::faultinject::quiesced();
         let lines = [
             EP_CMP,
             r#"{"op":"simulate","kernel":"cg","config":"CMP"}"#,
@@ -2140,7 +2131,6 @@ mod tests {
 
     #[test]
     fn predicted_tier_serves_caches_and_audits_in_bounds() {
-        let _quiet = paxsim_core::faultinject::quiesced();
         let s = service("predicted");
         let cold = s.handle_line(EP_CMP_PRED);
         assert!(cold.contains("\"ok\":true"), "{cold}");
@@ -2167,7 +2157,6 @@ mod tests {
 
     #[test]
     fn predicted_and_exact_answers_never_alias() {
-        let _quiet = paxsim_core::faultinject::quiesced();
         let s = service("pred_alias");
         let exact_before = s.handle_line(EP_CMP);
         let predicted = s.handle_line(EP_CMP_PRED);
@@ -2185,7 +2174,6 @@ mod tests {
 
     #[test]
     fn fast_fidelity_prefers_a_cached_exact_answer() {
-        let _quiet = paxsim_core::faultinject::quiesced();
         let s = service("fast_tier");
         let exact = s.handle_line(EP_CMP);
         let fast =
@@ -2211,10 +2199,7 @@ mod tests {
         // (kernel, config, class) pair, and every later non-exact request
         // for that pair must silently serve the exact tier, byte-identical
         // to a fault-free exact run.
-        let reference = {
-            let _quiet = paxsim_core::faultinject::quiesced();
-            service("bias_ref").handle_line(EP_CMP)
-        };
+        let reference = service("bias_ref").handle_line(EP_CMP);
         paxsim_core::faultinject::with_plan("predict-bias", || {
             let s = service("bias");
             let biased = s.handle_line(EP_CMP_PRED);
@@ -2267,7 +2252,6 @@ mod tests {
 
     #[test]
     fn tune_matches_exhaustive_sweep_on_small_grid() {
-        let _quiet = paxsim_core::faultinject::quiesced();
         let s = service("tune_sweep");
         let reply = s.handle_line(EP_TUNE);
         let v = serde_json::parse(&reply).unwrap();
@@ -2312,7 +2296,6 @@ mod tests {
 
     #[test]
     fn tune_repeat_is_cached_hit_never_batched_and_byte_identical() {
-        let _quiet = paxsim_core::faultinject::quiesced();
         let s = service("tune_hit");
         let cold = s.handle_line(EP_TUNE);
         assert!(cold.contains("\"ok\":true"), "{cold}");
@@ -2339,7 +2322,6 @@ mod tests {
         // second search evicts the first, and repeating the first is
         // answered by replaying its journaled cells — no engine work, no
         // cache hit, the same bytes.
-        let _quiet = paxsim_core::faultinject::quiesced();
         let s = Service::open(ServeConfig {
             cache_dir: tmp("tune_evict"),
             mem_cap: 1,
@@ -2377,7 +2359,6 @@ mod tests {
             assert_eq!(s.tune_completed(), 0);
             s
         });
-        let _quiet = paxsim_core::faultinject::quiesced();
         let resumed = killed.handle_line(EP_TUNE);
         assert!(resumed.contains("\"ok\":true"), "{resumed}");
         assert_eq!(killed.tune_completed(), 1);

@@ -5,9 +5,10 @@
 //! failure surface is typed, never a hang.
 //!
 //! The byte-identity discipline: run the faulted exchange inside
-//! [`with_plan`], then (under [`quiesced`], so no plan can leak in)
-//! compute the same request on a *fresh* service in a *fresh* cache
-//! directory and require the two reply lines to be equal. Simulation is
+//! [`with_plan`] (the server started there runs its reactor and workers
+//! under that plan), then, outside the plan, compute the same request on
+//! a *fresh* service in a *fresh* cache directory and require the two
+//! reply lines to be equal. Simulation is
 //! deterministic and the wire rendering canonical, so any divergence —
 //! a half-applied put, a retry that drifted, a corrupted record — shows
 //! up as a byte diff.
@@ -18,7 +19,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use paxsim_core::faultinject::{quiesced, with_plan};
+use paxsim_core::faultinject::with_plan;
 use paxsim_serve::{ServeConfig, Server, Service};
 
 fn tmp(name: &str) -> PathBuf {
@@ -83,9 +84,8 @@ fn healing_roundtrip(server: &Server, line: &str, retries: u32) -> (String, u32)
 }
 
 /// Fault-free reference reply for `line`: a fresh service over a fresh
-/// cache directory, computed with fault injection quiesced.
+/// cache directory, computed outside any fault plan.
 fn reference_reply(name: &str, line: &str) -> String {
-    let _quiet = quiesced();
     let (_service, server) = start(name, |_| {});
     let reply = roundtrip(&server, line);
     assert!(reply.contains("\"ok\":true"), "{reply}");
@@ -144,10 +144,7 @@ fn partial_write_trickle_delivers_the_intact_reply() {
 /// reassembly buffers partial lines without stalling the reactor.
 #[test]
 fn slow_loris_client_request_is_reassembled() {
-    // Computed first: `reference_reply` takes the same non-reentrant
-    // quiesce lock this test body holds below.
     let reference = reference_reply("slow_loris_ref", EP_CMP);
-    let _quiet = quiesced();
     let (_service, server) = start("slow_loris", |_| {});
     // A fast client on a second connection must not be held hostage by
     // the trickler (reactor threads never block on one peer).

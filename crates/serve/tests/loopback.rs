@@ -77,7 +77,6 @@ const EP_CMP: &str = r#"{"op":"simulate","kernel":"ep","config":"CMP"}"#;
 
 #[test]
 fn concurrent_identical_requests_compute_exactly_once() {
-    let _quiet = paxsim_core::faultinject::quiesced();
     let (service, server) = start("coalesce", |_| {});
     let replies: Vec<String> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..4)
@@ -102,7 +101,6 @@ fn concurrent_identical_requests_compute_exactly_once() {
 
 #[test]
 fn cache_hit_is_byte_identical_and_does_no_engine_work() {
-    let _quiet = paxsim_core::faultinject::quiesced();
     let (service, server) = start("hit", |_| {});
     let mut client = Client::connect(&server);
     let cold = client.roundtrip(EP_CMP);
@@ -192,7 +190,6 @@ fn shutdown_joins_every_handler_and_flushes_in_flight_replies() {
 
 #[test]
 fn draining_closes_the_listener_to_new_connections() {
-    let _quiet = paxsim_core::faultinject::quiesced();
     let (_service, server) = start("drain_refuse", |_| {});
     let addr = server.tcp_addr().unwrap();
     let mut established = Client::connect(&server);
@@ -217,7 +214,6 @@ fn draining_closes_the_listener_to_new_connections() {
 
 #[test]
 fn bitflipped_disk_entry_is_recomputed_not_served() {
-    let _quiet = paxsim_core::faultinject::quiesced();
     let dir = tmp("bitflip");
     // The parallel ep/CMP record lands in the shard its content hash
     // selects; corrupt that shard's journal, not a monolithic file.
@@ -389,7 +385,6 @@ fn batch_leader_panic_does_not_strand_followers() {
         assert!(server.shutdown(Duration::from_secs(10)));
         replies
     });
-    let _quiet = paxsim_core::faultinject::quiesced();
     let (_service, server) = start("batch_poison_ref", |_| {});
     for (k, faulted_reply) in kernels.iter().zip(&faulted) {
         assert!(
@@ -407,7 +402,6 @@ fn batch_leader_panic_does_not_strand_followers() {
 
 #[test]
 fn health_endpoint_reports_readiness_shards_and_breaker() {
-    let _quiet = paxsim_core::faultinject::quiesced();
     let (_service, server) = start("health", |_| {});
     let mut client = Client::connect(&server);
     let h = client.roundtrip(r#"{"op":"health"}"#);
@@ -443,7 +437,6 @@ fn health_endpoint_reports_readiness_shards_and_breaker() {
 
 #[test]
 fn unix_socket_serves_the_same_protocol() {
-    let _quiet = paxsim_core::faultinject::quiesced();
     let dir = tmp("unix");
     let sock = dir.join("serve.sock");
     std::fs::create_dir_all(&dir).unwrap();

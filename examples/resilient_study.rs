@@ -20,12 +20,16 @@
 //! Set `PAXSIM_FAULTS` (see `paxsim_core::faultinject`) to watch the
 //! recovery paths fire on a real sweep.
 
+use paxsim_core::faultinject::{self, FaultPlan};
 use paxsim_core::prelude::*;
 use paxsim_core::report::{multi_to_json, single_to_json};
 use paxsim_nas::Class;
 
 fn main() {
-    paxsim_core::faultinject::init_from_env();
+    faultinject::scoped(FaultPlan::from_env(), run);
+}
+
+fn run() {
     let mut args = std::env::args().skip(1);
     let (Some(journal), Some(report)) = (args.next(), args.next()) else {
         eprintln!("usage: resilient_study <journal-path> <report-path>");
